@@ -12,59 +12,14 @@ Run with::
 """
 
 import json
-import subprocess
 from pathlib import Path
 
 import pytest
 
+from repro.experiments.bench import envelope
+
 #: machine-readable benchmark output lands here (CI uploads BENCH_*.json)
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
-
-#: bump when the BENCH_*.json envelope shape changes (2: adds wall_clock_s
-#: + events_per_sec loop-speed stamps, see repro.experiments.bench)
-SCHEMA_VERSION = 2
-
-
-def _git_sha() -> str:
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True,
-            text=True,
-            cwd=Path(__file__).resolve().parent,
-            timeout=10,
-        )
-        return out.stdout.strip() or "unknown"
-    except Exception:
-        return "unknown"
-
-
-def _default_seed() -> int:
-    try:
-        from repro.params import default_params
-
-        return default_params().seed
-    except Exception:
-        return -1
-
-
-def _loop_wall_s() -> float:
-    try:
-        from repro.sim.core import LOOP_STATS
-
-        return round(LOOP_STATS.wall_s, 4)
-    except Exception:
-        return 0.0
-
-
-def _loop_events_per_sec() -> float:
-    try:
-        from repro.sim.core import LOOP_STATS
-
-        return round(LOOP_STATS.events_per_sec(), 1)
-    except Exception:
-        return 0.0
-
 
 def run_once(benchmark, fn, *args, **kwargs):
     """Run an experiment exactly once under pytest-benchmark."""
@@ -84,11 +39,10 @@ class BenchRecorder:
     ``results/BENCH_<group>.json`` (merged over existing content, so several
     benchmark files/selections can contribute to one group).
 
-    Files are enveloped as ``{"schema": 2, "seed": ..., "git_sha": ...,
-    "wall_clock_s": ..., "events_per_sec": ..., "metrics": {...}}`` so a
+    Files use the :func:`repro.experiments.bench.envelope` shape, so a
     results directory is self-describing about which commit and simulation
-    seed produced it and how fast the simulator ran; pre-envelope flat
-    files are migrated on the next merge.
+    seed produced it and how fast and large the simulator ran; pre-envelope
+    flat files are migrated on the next merge.
     """
 
     def __init__(self) -> None:
@@ -101,8 +55,6 @@ class BenchRecorder:
         if not self._groups:
             return
         RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-        sha = _git_sha()
-        seed = _default_seed()
         for group, metrics in self._groups.items():
             path = RESULTS_DIR / f"BENCH_{group}.json"
             existing = {}
@@ -117,15 +69,7 @@ class BenchRecorder:
                 merged = {k: v for k, v in existing.items()
                           if k not in ("schema", "seed", "git_sha")}
             merged.update(metrics)
-            envelope = {
-                "schema": SCHEMA_VERSION,
-                "seed": seed,
-                "git_sha": sha,
-                "wall_clock_s": _loop_wall_s(),
-                "events_per_sec": _loop_events_per_sec(),
-                "metrics": merged,
-            }
-            path.write_text(json.dumps(envelope, indent=2, sort_keys=True) + "\n")
+            path.write_text(json.dumps(envelope(merged), indent=2, sort_keys=True) + "\n")
 
 
 @pytest.fixture(scope="session")

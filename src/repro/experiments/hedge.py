@@ -20,7 +20,7 @@ The headline metrics are the p99 ratios of the two ``full`` points against
 ``healthy``, the hedge win rate, and the extra-attempt fraction (hedges
 issued per primary attempt — the bandwidth price of the tail cut).
 
-Writes ``results/BENCH_hedge.json`` with the shared schema-2 envelope.
+Writes ``results/BENCH_hedge.json`` with the shared envelope.
 
 CLI::
 

@@ -9,8 +9,7 @@ up as rising per-op latency and shard queue wait.
 Per sweep point the run records aggregate and per-node IOPS, p50/p99
 latency, total KV shard queue wait, and host/DPU busy cores, and writes
 ``results/BENCH_scaleout.json`` with the same envelope the benchmark
-suite uses (``{"schema": 2, "seed": ..., "git_sha": ..., "wall_clock_s": ...,
-"events_per_sec": ..., "metrics": ...}``).
+suite uses (:func:`repro.experiments.bench.envelope`).
 
 CLI::
 

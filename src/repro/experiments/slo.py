@@ -16,7 +16,7 @@ burn hot and attribute to the data-server layer: reconstruction reads the
 survivor units over ``ds.rpc``, and the silent-crash variant's RPC
 deadline waits accrue inside the same layer.
 
-Writes ``results/BENCH_slo.json`` with the shared schema-2 envelope.
+Writes ``results/BENCH_slo.json`` with the shared envelope.
 
 CLI::
 

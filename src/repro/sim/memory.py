@@ -8,6 +8,14 @@ experiments); DPU-side code must go through :class:`repro.sim.pcie.PcieLink`,
 which charges DMA latency and counts transactions — that asymmetry is the
 entire point of the paper's hybrid-cache and nvme-fs arguments.
 
+The arena is lazily backed: its bytes live in a private anonymous mapping, so
+the kernel supplies zero pages on first touch and an untouched page costs no
+resident memory and no set-up time.  A simulated host carves a few tens of MiB
+(cache pages, rings, PRP buffers) out of a modelled capacity of hundreds, so
+resident memory tracks the pages the simulation actually touches, not
+``size``.  ``MAP_PRIVATE`` keeps the semantics of a zero-initialised
+``bytearray``: the memory is visible to this process only.
+
 The allocator is a first-fit free list with coalescing.  It is deliberately
 simple; fragmentation behaviour is not part of any reproduced claim, but the
 invariants (no overlap, free+alloc partitions the arena) are property-tested.
@@ -15,6 +23,7 @@ invariants (no overlap, free+alloc partitions the arena) are property-tested.
 
 from __future__ import annotations
 
+import mmap
 import struct
 from typing import Iterator
 
@@ -32,7 +41,7 @@ class MemoryArena:
         if size <= 0:
             raise ValueError("arena size must be positive")
         self.size = size
-        self.buf = bytearray(size)
+        self.buf = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
         # Free list: sorted list of (start, length), non-adjacent, non-overlapping.
         self._free: list[tuple[int, int]] = [(0, size)]
         self._allocs: dict[int, int] = {}  # start -> length
@@ -107,7 +116,7 @@ class MemoryArena:
 
     def read(self, addr: int, nbytes: int) -> bytes:
         self._check(addr, nbytes)
-        return bytes(self.buf[addr : addr + nbytes])
+        return self.buf[addr : addr + nbytes]
 
     def write(self, addr: int, data: bytes) -> None:
         self._check(addr, len(data))

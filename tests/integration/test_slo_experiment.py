@@ -52,7 +52,8 @@ def test_write_bench_emits_per_variant_metrics(tmp_path):
     import json
 
     data = json.loads(out.read_text())
-    assert data["schema"] == 2
+    assert data["schema"] == 3
+    assert data["peak_rss_mb"] > 0
     m = data["metrics"]
     assert m["healthy/breaches"] == 0
     assert "healthy/max_burn_rate" in m

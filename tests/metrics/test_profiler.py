@@ -1,6 +1,7 @@
 """DES self-profiler, loop-speed accounting, and the BENCH envelope."""
 
 import json
+import resource
 
 import pytest
 
@@ -128,11 +129,15 @@ def test_envelope_shape_and_loop_stamp():
     env = Environment(seed=6)
     env.run(until=env.all_of(_busy_flow(env, nworkers=2, rounds=5)))
     out = envelope({"a/b": 1.5}, seed=6)
-    assert out["schema"] == SCHEMA_VERSION == 2
+    assert out["schema"] == SCHEMA_VERSION == 3
     assert out["seed"] == 6
     assert isinstance(out["git_sha"], str) and out["git_sha"]
     assert out["wall_clock_s"] == round(LOOP_STATS.wall_s, 4)
     assert out["events_per_sec"] == round(LOOP_STATS.events_per_sec(), 1)
+    # the peak is monotone: it can only have grown since the envelope
+    assert 0 < out["peak_rss_mb"] <= round(
+        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1
+    )
     assert out["metrics"] == {"a/b": 1.5}
 
 
@@ -141,7 +146,8 @@ def test_write_envelope_roundtrips(tmp_path):
     out = write_envelope("x", {"k": 1}, path=path)
     assert out == path
     data = json.loads(path.read_text())
-    assert data["schema"] == 2 and data["metrics"] == {"k": 1}
+    assert data["schema"] == 3 and data["metrics"] == {"k": 1}
     assert set(data) == {
-        "schema", "seed", "git_sha", "wall_clock_s", "events_per_sec", "metrics",
+        "schema", "seed", "git_sha", "wall_clock_s", "events_per_sec", "peak_rss_mb",
+        "metrics",
     }
