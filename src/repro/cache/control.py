@@ -82,6 +82,16 @@ def _unpack_entry(raw: bytes, offset: int = 0) -> dict:
     return {"lock": lock, "status": status, "next": nxt, "gen": gen, "lpn": lpn, "inode": inode}
 
 
+def _holds(entries: list, inode: int, lpn: int, skip: Optional[int] = None) -> bool:
+    """True if an entry other than ``skip`` holds the page, live or pending."""
+    return any(
+        i != skip
+        and e["status"] in (ST_CLEAN, ST_DIRTY, ST_INVALID)
+        and (e["inode"], e["lpn"]) == (inode, lpn)
+        for i, e in entries
+    )
+
+
 class _Shard:
     """One bucket-range shard: mailbox + flusher + policy + dirty set."""
 
@@ -155,6 +165,12 @@ class CacheControlPlane:
         #: fetch of one page can land on different shards' processes).
         self.dif_enabled = dif_enabled
         self._dif: dict[tuple[int, int], int] = {}
+        #: writes that landed in the backend (flusher writebacks and writes
+        #: that bypass the cache), and per bucket the count as of the last
+        #: one to a page of that bucket: a demand fill whose backend read
+        #: began before that count may carry older data (see :meth:`fill`)
+        self.backend_writes = 0
+        self._bucket_writes = [0] * layout.buckets
         #: per-(inode, backend block) writeback serialization: the backend
         #: updates blocks by read-modify-write, so two pages of one block
         #: flushed by different shards concurrently would lose an update
@@ -453,6 +469,7 @@ class CacheControlPlane:
             lock.release(req)
             if lock.count == 0 and lock.queue_len == 0:
                 self._wb_locks.pop(block, None)
+            self._mark_written(ent["inode"], ent["lpn"], 1)
         if failed:
             self.writeback_failures += 1
             if self.breaker is not None:
@@ -522,32 +539,39 @@ class CacheControlPlane:
         for idx in order:
             if emap[idx]["status"] == ST_DIRTY:
                 yield from self._flush_entry(idx)
-                if self.breaker is not None:
-                    # With a fallible backend the flush may not have landed;
-                    # never free a still-dirty victim (that would drop data).
-                    ent = yield from self._dma_read_entry(idx)
-                    if ent["status"] == ST_DIRTY:
-                        continue
-            # Free it: write-lock via PCIe atomic, clear status, bump free.
-            ok = yield from self.link.atomic_cas_u32(
-                self.layout.lock_addr(idx), LOCK_FREE, LOCK_WRITE, tag="lock-cas"
-            )
-            if not ok:
+            freed = yield from self._free_if_clean(idx)
+            if not freed:
                 continue
-            yield from self.link.dma_write(
-                self.layout.entry_addr(idx) + 4, ST_FREE.to_bytes(4, "little"), tag="evict-status"
-            )
-            yield from self.link.atomic_faa_u32(
-                self.layout.free_count_addr, 1, tag="free-count"
-            )
-            yield from self.link.atomic_cas_u32(
-                self.layout.lock_addr(idx), LOCK_WRITE, LOCK_FREE, tag="lock-cas"
-            )
             policy.forget(idx)
             self._shadow.pop(idx, None)
             self.evictions += 1
             return True
         return False
+
+    def _free_if_clean(self, idx: int) -> Generator[Event, None, bool]:
+        """Free an entry that is clean: write-lock it, CAS status CLEAN -> FREE.
+
+        The status goes through a compare-and-swap, not a plain write,
+        because the host may have dirtied the page after the caller's scan
+        or flush and before the lock landed; a dirty page (or one a failed
+        writeback left dirty) is never freed, since its data exists nowhere
+        else.
+        """
+        lay = self.layout
+        ok = yield from self.link.atomic_cas_u32(
+            lay.lock_addr(idx), LOCK_FREE, LOCK_WRITE, tag="lock-cas"
+        )
+        if not ok:
+            return False
+        freed = yield from self.link.atomic_cas_u32(
+            lay.entry_addr(idx) + 4, ST_CLEAN, ST_FREE, tag="evict-status"
+        )
+        if freed:
+            yield from self.link.atomic_faa_u32(lay.free_count_addr, 1, tag="free-count")
+        yield from self.link.atomic_cas_u32(
+            lay.lock_addr(idx), LOCK_WRITE, LOCK_FREE, tag="lock-cas"
+        )
+        return freed
 
     # ------------------------------------------------------------------ coherence
     def invalidate_inode(self, inode: int) -> Generator[Event, None, int]:
@@ -618,22 +642,9 @@ class CacheControlPlane:
             return "gone"
         if ent["status"] == ST_DIRTY:
             return "retry"  # flush raced a host write or was breaker-skipped
-        ok = yield from self.link.atomic_cas_u32(
-            self.layout.lock_addr(idx), LOCK_FREE, LOCK_WRITE, tag="lock-cas"
-        )
-        if not ok:
+        freed = yield from self._free_if_clean(idx)
+        if not freed:
             return "retry"
-        yield from self.link.dma_write(
-            self.layout.entry_addr(idx) + 4,
-            ST_FREE.to_bytes(4, "little"),
-            tag="evict-status",
-        )
-        yield from self.link.atomic_faa_u32(
-            self.layout.free_count_addr, 1, tag="free-count"
-        )
-        yield from self.link.atomic_cas_u32(
-            self.layout.lock_addr(idx), LOCK_WRITE, LOCK_FREE, tag="lock-cas"
-        )
         self._policy_of_idx(idx).forget(idx)
         self._shadow.pop(idx, None)
         return "freed"
@@ -785,15 +796,36 @@ class CacheControlPlane:
         is left with an *odd* generation: it stays "mutating" for seqlock
         readers until the install publishes data with the next even value.
         """
+        claim = yield from self._claim_locked(inode, lpn, evict=True)
+        if claim is None:
+            return None
+        idx = claim[0]
+        yield from self.link.atomic_cas_u32(
+            self.layout.lock_addr(idx), LOCK_WRITE, LOCK_FREE, tag="lock-cas"
+        )
+        return idx
+
+    def _claim_locked(
+        self, inode: int, lpn: int, evict: bool
+    ) -> Generator[Event, None, Optional[tuple[int, int, int]]]:
+        """Claim a free entry for ``(inode, lpn)``, leaving it write-locked.
+
+        Returns ``(index, next, generation)`` of the claimed entry, or None.
+
+        The claim (status INVALID, key set, generation odd) is published
+        *before* the bucket is scanned a second time.  A host write or
+        another claim of the same page that slipped in between the first
+        scan and the claim shows up in the second scan, and the claim is
+        withdrawn.  Once the claim has landed, a host write of the page
+        finds the pending entry and waits on its lock instead of taking a
+        second entry, so a page never ends up with two live entries.
+        """
         lay = self.layout
         bucket = lay.bucket_of(inode, lpn)
         entries = yield from self._dma_read_bucket(bucket)
-        for _idx, e in entries:
-            if e["status"] in (ST_CLEAN, ST_DIRTY, ST_INVALID) and (
-                e["inode"], e["lpn"]
-            ) == (inode, lpn):
-                return None  # already cached or pending
-        if not any(e["status"] == ST_FREE for _i, e in entries):
+        if _holds(entries, inode, lpn):
+            return None  # already cached or pending
+        if evict and not any(e["status"] == ST_FREE for _i, e in entries):
             evicted = yield from self._evict_from_bucket(bucket)
             if not evicted:
                 return None
@@ -812,17 +844,20 @@ class CacheControlPlane:
                     lay.lock_addr(idx), LOCK_WRITE, LOCK_FREE, tag="lock-cas"
                 )
                 continue
-            meta = _ENTRY.pack(
-                LOCK_WRITE, ST_INVALID, ent["next"], _gen_odd(ent["gen"]), lpn, inode
-            )
+            gen = _gen_odd(ent["gen"])
+            meta = _ENTRY.pack(LOCK_WRITE, ST_INVALID, ent["next"], gen, lpn, inode)
             yield from self.link.dma_write(lay.entry_addr(idx), meta, tag="claim-meta")
             yield from self.link.atomic_faa_u32(
                 lay.free_count_addr, 0xFFFFFFFF, tag="free-count"
             )
-            yield from self.link.atomic_cas_u32(
-                lay.lock_addr(idx), LOCK_WRITE, LOCK_FREE, tag="lock-cas"
-            )
-            return idx
+            entries = yield from self._dma_read_bucket(bucket)
+            if _holds(entries, inode, lpn, skip=idx):
+                yield from self._drop_claim(idx, ent["next"], gen)
+                yield from self.link.atomic_cas_u32(
+                    lay.lock_addr(idx), LOCK_WRITE, LOCK_FREE, tag="lock-cas"
+                )
+                return None
+            return idx, ent["next"], gen
         return None
 
     def _install_pending(self, idx: int, data: bytes) -> Generator[Event, None, bool]:
@@ -863,16 +898,18 @@ class CacheControlPlane:
             return
         ent = yield from self._dma_read_entry(idx)
         if ent["status"] == ST_INVALID:
-            publish = struct.pack("<III", ST_FREE, ent["next"], _gen_even(ent["gen"]))
-            yield from self.link.dma_write(
-                lay.entry_addr(idx) + 4, publish, tag="claim-free"
-            )
-            yield from self.link.atomic_faa_u32(
-                lay.free_count_addr, 1, tag="free-count"
-            )
+            yield from self._drop_claim(idx, ent["next"], ent["gen"])
         yield from self.link.atomic_cas_u32(
             lay.lock_addr(idx), LOCK_WRITE, LOCK_FREE, tag="lock-cas"
         )
+
+    def _drop_claim(self, idx: int, nxt: int, gen: int) -> Generator[Event, None, None]:
+        """Free a write-locked pending entry (the caller unlocks it)."""
+        publish = struct.pack("<III", ST_FREE, nxt, _gen_even(gen))
+        yield from self.link.dma_write(
+            self.layout.entry_addr(idx) + 4, publish, tag="claim-free"
+        )
+        yield from self.link.atomic_faa_u32(self.layout.free_count_addr, 1, tag="free-count")
 
     def _dif_ok(self, inode: int, lpn: int, data: bytes) -> bool:
         """Verify a backend-fetched page against its flush-time guard tag."""
@@ -897,65 +934,70 @@ class CacheControlPlane:
         for key in [k for k in self._dif if k[0] == inode]:
             del self._dif[key]
 
-    def dif_drop_range(self, inode: int, lpn: int, count: int) -> None:
-        """Forget the guard tags of a contiguous page run in one call."""
+    def backend_written(self, inode: int, lpn: int, count: int) -> None:
+        """A write that bypassed the flusher landed on a page run.
+
+        Its guard tags are stale, and in-flight demand fills of those pages
+        may carry older data.
+        """
         for i in range(count):
             self._dif.pop((inode, lpn + i), None)
+        self._mark_written(inode, lpn, count)
 
-    def fill(self, inode: int, lpn: int, data: bytes) -> Generator[Event, None, bool]:
-        """Install a page into the host cache from the DPU side (clean)."""
-        if not self._dif_ok(inode, lpn, data):
-            return False
+    def _mark_written(self, inode: int, lpn: int, count: int) -> None:
+        self.backend_writes += 1
+        for i in range(count):
+            self._bucket_writes[self.layout.bucket_of(inode, lpn + i)] = self.backend_writes
+
+    def fill(
+        self, inode: int, lpn: int, data: bytes, since: Optional[int] = None
+    ) -> Generator[Event, None, bool]:
+        """Install a backend-read page into the host cache from the DPU side (clean).
+
+        The entry is claimed I/O-pending first (:meth:`_claim_locked`), so a
+        host write or prefetch racing the fill can never leave a second
+        live copy of the page.  ``since`` is :attr:`backend_writes` as read
+        when the backend read that produced ``data`` began: if a write has
+        landed on a page of this bucket since, ``data`` may predate it and
+        the fill is dropped.
+        """
         lay = self.layout
-        bucket = lay.bucket_of(inode, lpn)
-        entries = yield from self._dma_read_bucket(bucket)
-        # Already present? (raced with a demand fill)
-        for idx, e in entries:
-            if e["status"] in (ST_CLEAN, ST_DIRTY) and (e["inode"], e["lpn"]) == (inode, lpn):
-                return False
-        for idx, e in entries:
-            if e["status"] != ST_FREE or e["lock"] != LOCK_FREE:
-                continue
-            ok = yield from self.link.atomic_cas_u32(
-                lay.lock_addr(idx), LOCK_FREE, LOCK_WRITE, tag="lock-cas"
-            )
-            if not ok:
-                continue
-            # Re-check status under the lock.
-            ent = yield from self._dma_read_entry(idx)
-            if ent["status"] != ST_FREE:
-                yield from self.link.atomic_cas_u32(
-                    lay.lock_addr(idx), LOCK_WRITE, LOCK_FREE, tag="lock-cas"
-                )
-                continue
-            page = data.ljust(lay.page_size, b"\0")[: lay.page_size]
-            yield from self.link.dma_write(lay.page_addr(idx), page, tag="fill-data")
-            meta = _ENTRY.pack(
-                LOCK_WRITE, ST_CLEAN, ent["next"], _gen_even(ent["gen"]), lpn, inode
-            )
-            yield from self.link.dma_write(lay.entry_addr(idx), meta, tag="fill-meta")
-            yield from self.link.atomic_faa_u32(
-                lay.free_count_addr, 0xFFFFFFFF, tag="free-count"
-            )
+        claim = yield from self._claim_locked(inode, lpn, evict=False)
+        if claim is None:
+            return False
+        idx, nxt, gen = claim
+        # Stale data is dropped before the guard-tag check, so a DIF error
+        # still means corruption and not a write racing this fill.
+        stale = since is not None and self._bucket_writes[lay.bucket_of(inode, lpn)] > since
+        if stale or not self._dif_ok(inode, lpn, data):
+            yield from self._drop_claim(idx, nxt, gen)
             yield from self.link.atomic_cas_u32(
                 lay.lock_addr(idx), LOCK_WRITE, LOCK_FREE, tag="lock-cas"
             )
-            self._shadow[idx] = (inode, lpn)
-            self._policy_of_idx(idx).touch(idx)
-            return True
-        return False
+            return False
+        page = data.ljust(lay.page_size, b"\0")[: lay.page_size]
+        yield from self.link.dma_write(lay.page_addr(idx), page, tag="fill-data")
+        publish = struct.pack("<III", ST_CLEAN, nxt, _gen_even(gen))
+        yield from self.link.dma_write(lay.entry_addr(idx) + 4, publish, tag="fill-status")
+        yield from self.link.atomic_cas_u32(
+            lay.lock_addr(idx), LOCK_WRITE, LOCK_FREE, tag="lock-cas"
+        )
+        self._shadow[idx] = (inode, lpn)
+        self._policy_of_idx(idx).touch(idx)
+        return True
 
     def fill_run(
-        self, inode: int, first_lpn: int, pages: list[bytes]
+        self, inode: int, first_lpn: int, pages: list[bytes], since: int
     ) -> Generator[Event, None, int]:
         """Install a contiguous run of pages in one batched call.
 
         One control-plane invocation installs the whole run: the per-page
         bucket walks proceed in parallel (pages hash to independent buckets
         spread across all shards) instead of one spawned process per 4 KiB
-        page.  Returns the number of pages actually installed.
+        page.  ``since`` is as for :meth:`fill`.  Returns the number of
+        pages actually installed.
         """
         results = yield from self._parallel(
-            [self.fill(inode, first_lpn + i, page) for i, page in enumerate(pages)]
+            [self.fill(inode, first_lpn + i, page, since) for i, page in enumerate(pages)]
         )
         return sum(1 for ok in results if ok)

@@ -124,12 +124,21 @@ class HostCachePlane:
         return None
 
     def _find_any(self, inode: int, lpn: int) -> Optional[int]:
-        """Like :meth:`_find` but includes I/O-pending (readahead) entries."""
+        """Like :meth:`_find` but falls back to an I/O-pending entry.
+
+        A live entry wins: a DPU claim that lost a race with a host write
+        sits pending beside the live copy until the DPU withdraws it.
+        """
         lay = self.layout
+        pending = None
         for i in lay.chain(lay.bucket_of(inode, lpn)):
-            if lay.entry_status(i) in (ST_CLEAN, ST_DIRTY, ST_INVALID) and lay.entry_key(i) == (inode, lpn):
-                return i
-        return None
+            status = lay.entry_status(i)
+            if status in (ST_CLEAN, ST_DIRTY, ST_INVALID) and lay.entry_key(i) == (inode, lpn):
+                if status != ST_INVALID:
+                    return i
+                if pending is None:
+                    pending = i
+        return pending
 
     def contains(self, inode: int, lpn: int) -> bool:
         return self._find(inode, lpn) is not None
@@ -185,19 +194,19 @@ class HostCachePlane:
         while True:
             idx = self._find_any(inode, lpn)
             if idx is not None and lay.entry_status(idx) == ST_INVALID:
-                # Readahead in flight: block on the "locked page" like a page
+                # Fetch in flight: block on the "locked page" like a page
                 # cache does, instead of issuing a duplicate backend read.
                 for _ in range(60):
                     yield self.env.timeout(8e-6)
-                    if lay.entry_key(idx) != (inode, lpn):
-                        idx = None
-                        break
-                    if lay.entry_status(idx) in (ST_CLEAN, ST_DIRTY):
+                    if lay.entry_key(idx) != (inode, lpn) or lay.entry_status(idx) != ST_INVALID:
                         break
                 else:
                     idx = None
-                if idx is not None and lay.entry_status(idx) == ST_INVALID:
-                    idx = None
+                if idx is not None and (
+                    lay.entry_key(idx) != (inode, lpn)
+                    or lay.entry_status(idx) not in (ST_CLEAN, ST_DIRTY)
+                ):
+                    continue  # claim withdrawn or entry reused: look again
             if idx is None or lay.entry_status(idx) == ST_FREE:
                 self.stats.read_misses += 1
                 # Feed the prefetcher; fire-and-forget.

@@ -153,16 +153,17 @@ class IoDispatch:
                 return FileResponse(), b""
             if op == FileOp.WRITE:
                 n = yield from fs.write(req.ino, req.offset, payload)
-                self._dif_drop_range(req.ino << 1, req.offset, len(payload))
+                self._backend_written(req.ino << 1, req.offset, len(payload))
                 return FileResponse(size=n), b""
             if op == FileOp.READ:
+                since = self._fill_since()
                 data = yield from fs.read(req.ino, req.offset, req.length)
                 if (
                     self.cache_ctrl is not None
                     and not req.flags & FLAG_DIRECT
                     and data
                 ):
-                    self._spawn_fills(req.ino << 1, req.offset, data)
+                    self._spawn_fills(req.ino << 1, req.offset, data, since)
                 return FileResponse(size=len(data)), data
             if op == FileOp.FSYNC:
                 if self.cache_ctrl is not None:
@@ -265,16 +266,17 @@ class IoDispatch:
                 return FileResponse(), b""
             if op == FileOp.WRITE:
                 n = yield from client.write(req.ino, req.offset, payload)
-                self._dif_drop_range((req.ino << 1) | 1, req.offset, len(payload))
+                self._backend_written((req.ino << 1) | 1, req.offset, len(payload))
                 return FileResponse(size=n), b""
             if op == FileOp.READ:
+                since = self._fill_since()
                 data = yield from client.read(req.ino, req.offset, req.length)
                 if (
                     self.cache_ctrl is not None
                     and not req.flags & FLAG_DIRECT
                     and data
                 ):
-                    self._spawn_fills((req.ino << 1) | 1, req.offset, data)
+                    self._spawn_fills((req.ino << 1) | 1, req.offset, data, since)
                 return FileResponse(size=len(data)), data
             if op == FileOp.FSYNC:
                 if self.cache_ctrl is not None:
@@ -310,19 +312,24 @@ class IoDispatch:
         return FileResponse(aux=next_cookie, data=pack_dirents(out))
 
     # ------------------------------------------------------------------ cache hooks
-    def _dif_drop_range(self, tagged_ino: int, offset: int, length: int) -> None:
-        """Direct writes bypass the flusher: invalidate stale DIF tags."""
+    def _backend_written(self, tagged_ino: int, offset: int, length: int) -> None:
+        """Direct writes bypass the flusher: tell the cache what they overwrote."""
         if self.cache_ctrl is None or length <= 0:
             return
         first = offset // PAGE
         last = (offset + length + PAGE - 1) // PAGE
-        self.cache_ctrl.dif_drop_range(tagged_ino, first, last - first)
+        self.cache_ctrl.backend_written(tagged_ino, first, last - first)
 
-    def _spawn_fills(self, tagged_ino: int, offset: int, data: bytes) -> None:
+    def _fill_since(self) -> int:
+        """Backend-write count to check a fill of data read from now on against."""
+        return 0 if self.cache_ctrl is None else self.cache_ctrl.backend_writes
+
+    def _spawn_fills(self, tagged_ino: int, offset: int, data: bytes, since: int) -> None:
         """Install freshly-read pages into the host cache, off critical path.
 
         The whole run goes through one control-plane call (one spawned
-        process), not one process per 4 KiB page.
+        process), not one process per 4 KiB page.  ``since`` is the
+        backend-write count taken before the read began.
         """
         if offset % PAGE:
             return  # only page-aligned reads feed the cache
@@ -333,7 +340,7 @@ class IoDispatch:
         ]
         if pages:
             self.env.process(
-                self.cache_ctrl.fill_run(tagged_ino, offset // PAGE, pages),
+                self.cache_ctrl.fill_run(tagged_ino, offset // PAGE, pages, since),
                 name="demand-fill",
             )
 

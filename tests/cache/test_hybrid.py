@@ -275,3 +275,40 @@ def test_control_plane_dma_traffic_only_on_control_path():
         return d.ops()
 
     assert drive(env, flow()) == 0
+
+
+def test_fill_older_than_a_direct_write_is_dropped():
+    """A demand fill whose backend read began before a write that bypassed
+    the cache must not install its (older) data."""
+    env, lay, host, ctrl, backend = build(prefetch=False)
+
+    def flow():
+        since = ctrl.backend_writes  # the backend read of "old" begins
+        ctrl.backend_written(1, 0, 1)  # an O_DIRECT write lands meanwhile
+        stale = yield from ctrl.fill(1, 0, b"old".ljust(4096, b"\0"), since)
+        fresh = yield from ctrl.fill(1, 0, b"new".ljust(4096, b"\0"), ctrl.backend_writes)
+        data = yield from host.read(1, 0, 3)
+        return stale, fresh, data
+
+    assert drive(env, flow()) == (False, True, b"new")
+
+
+def test_fill_older_than_a_flushed_write_is_dropped():
+    """Host write, writeback and eviction all land while a demand fill's
+    backend read is in flight: the fill must not resurrect the old page.
+    The guard-tag check would catch this too, so it is turned off to show
+    the write count alone suffices."""
+    env, lay, host, ctrl, backend = build(prefetch=False)
+    ctrl.dif_enabled = False
+
+    def flow():
+        since = ctrl.backend_writes  # the backend read of "old" begins
+        yield from host.write(1, 0, b"new")
+        yield from ctrl.flush_all()
+        yield from host.invalidate(1, 0)  # the clean copy is dropped
+        stale = yield from ctrl.fill(1, 0, b"old".ljust(4096, b"\0"), since)
+        data = yield from host.read(1, 0, 3)
+        return stale, data
+
+    assert drive(env, flow()) == (False, None)
+    assert lay.free_count() == lay.pages
